@@ -19,7 +19,7 @@
 //! reads or writes. The analysis is deliberately *conservative*: a pair
 //! marked commuting is claimed safe to reorder; an unmarked pair is merely
 //! unproven. Everything here is O(1) per operation — footprints never
-//! traverse the graph, which keeps `analyze` O(script).
+//! traverse the graph.
 
 use std::collections::BTreeSet;
 use sws_core::ModOp;

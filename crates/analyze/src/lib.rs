@@ -1,16 +1,16 @@
 //! `sws-analyze` — static analysis for modification-operation scripts.
 //!
-//! The analyzer is an **abstract interpreter** over op scripts: it tracks
-//! the symbolic state a script builds ([`AbsState`], a copy-on-write
-//! overlay over the starting [`SchemaGraph`]) without ever mutating a
-//! graph, and runs the *executor's own* permission matrix and precondition
-//! checker (`sws_core::check_preconditions_view`, generic over
-//! `SchemaView`) at every step. That construction makes it **sound against
-//! the apply pipeline by design**: the first error the analyzer predicts is
-//! the first error `Workspace::apply`/`replay` produces — a property the
-//! differential test suite (`tests/differential.rs`) enforces over the
-//! whole corpus and randomized scripts, with zero tolerated false
-//! negatives.
+//! The analyzer predicts what the apply pipeline would do with a script by
+//! **running the real executor** and taking every change back: it opens
+//! one undo journal on a [`SchemaGraph`], and for each operation runs the
+//! executor's permission matrix, its precondition checker
+//! (`sws_core::check_preconditions_view`) and its `apply_op`, then rolls
+//! the journal back — at the end of the script and when unwinding alike.
+//! There is no second model of an operation's effect to drift from the
+//! executor's: the first error the analyzer predicts is the first error
+//! `Workspace::apply`/`replay` produces — a property the differential test
+//! suite (`tests/differential.rs`) enforces over the whole corpus and
+//! randomized scripts, with zero tolerated false negatives.
 //!
 //! On top of the error prediction the analyzer reports script hygiene:
 //! redundant operations, deletes of the script's own creations, dead-store
@@ -18,9 +18,11 @@
 //! diagnostics carry stable codes ([`diag`]) and the report serializes to
 //! a single JSON line with a checksum, crash-report style.
 //!
-//! Cost: O(script) graph-independent work per operation, plus whatever the
-//! shared precondition checker reads (extent checks scan live types in the
-//! executor too — see `docs/static-analysis.md` for the caveat).
+//! Cost: each operation costs what the executor's own apply costs
+//! (`delete_type_definition` scans the arenas, extent checks scan live
+//! types), plus the rollback. [`analyze_ops_in`] works in place on a graph
+//! the caller owns; [`analyze_ops`] takes `&SchemaGraph` and pays one graph
+//! clone on top — see `docs/static-analysis.md`.
 //!
 //! Observability: `core.analyze` span; counters `core.analyze.scripts`,
 //! `core.analyze.ops`, `core.analyze.findings`,
@@ -30,24 +32,37 @@
 
 pub mod commute;
 pub mod diag;
-pub mod state;
 
 use std::collections::{HashMap, HashSet};
+use sws_core::ops::apply::apply_op;
 use sws_core::{
     check_preconditions_view, print_op, ConceptKind, ConstraintViolation, ModOp, OpError,
 };
-use sws_model::{QueryCache, SchemaGraph, SchemaView};
+use sws_model::{QueryCache, SchemaGraph};
 use sws_odl::OdlError;
 
 pub use commute::{commutes, footprint, Footprint};
 pub use diag::{code_for, Finding, LintReport, Severity, SCHEMA_VERSION};
-pub use state::AbsState;
 
 /// Analyze a script of `(context, op)` pairs against the `base` working
 /// schema, judging semantic stability against `shrink_wrap` — exactly the
-/// inputs `Workspace::replay` would consume. Never mutates either graph.
+/// inputs `Workspace::replay` would consume. Never mutates either graph:
+/// the analysis runs [`analyze_ops_in`] on a clone of `base`.
 pub fn analyze_ops(
     base: &SchemaGraph,
+    shrink_wrap: &SchemaGraph,
+    script: &[(ConceptKind, ModOp)],
+) -> LintReport {
+    analyze_ops_in(&mut base.clone(), shrink_wrap, script)
+}
+
+/// [`analyze_ops`] in place: the script's accepted prefix is applied to
+/// `graph` by the real executor under one undo journal, which is rolled
+/// back before this returns (or while a panic unwinds through it), so
+/// `graph` ends structurally as it started. Only its mutation generation
+/// moves. `graph` must have no journal open.
+pub fn analyze_ops_in(
+    graph: &mut SchemaGraph,
     shrink_wrap: &SchemaGraph,
     script: &[(ConceptKind, ModOp)],
 ) -> LintReport {
@@ -55,7 +70,7 @@ pub fn analyze_ops(
     sws_trace::counter("core.analyze.scripts", 1);
     let matrix = sws_core::ops::PermissionMatrix::new();
     let qc_shrink = QueryCache::new();
-    let mut state = AbsState::new(base);
+    let journal = Journal::open(graph);
     let mut report = LintReport {
         ops: script.len(),
         ..LintReport::default()
@@ -91,7 +106,7 @@ pub fn analyze_ops(
             });
             break;
         }
-        let violations = check_preconditions_view(op, &state, shrink_wrap, &qc_shrink);
+        let violations = check_preconditions_view(op, &*journal.0, shrink_wrap, &qc_shrink);
         if !violations.is_empty() {
             for v in &violations {
                 let deleted_earlier = match v {
@@ -115,7 +130,7 @@ pub fn analyze_ops(
             break;
         }
 
-        // The op is accepted: hygiene warnings, then the state transfer.
+        // The op is accepted: hygiene warnings, then the real apply.
         if let Some(msg) = redundant_modify(op) {
             report.findings.push(Finding {
                 index: i,
@@ -126,7 +141,7 @@ pub fn analyze_ops(
             });
         }
         track_script_flow(
-            &state,
+            journal.0,
             op,
             i,
             &mut created,
@@ -135,10 +150,24 @@ pub fn analyze_ops(
             &mut pending_modifies,
             &mut report.findings,
         );
+        if let Err(e) = apply_op(journal.0, op) {
+            // The graph refused a mutation the preconditions admitted — the
+            // executor's defensive layer; `Workspace::apply` rejects here too.
+            report.findings.push(Finding {
+                index: i,
+                code: "A009",
+                severity: Severity::Error,
+                op: print_op(op),
+                message: e.to_string(),
+            });
+            report.stopped_at = Some(i);
+            report.predicted = Some(e);
+            break;
+        }
         footprints.push(commute::footprint(op));
-        state.transfer(op);
         accepted += 1;
     }
+    drop(journal);
 
     for i in 1..accepted {
         if commutes(&footprints[i - 1], &footprints[i]) {
@@ -167,6 +196,23 @@ pub fn analyze_script(
     let ops = sws_core::parse_script(src)?;
     let script: Vec<(ConceptKind, ModOp)> = ops.into_iter().map(|op| (context, op)).collect();
     Ok(analyze_ops(base, shrink_wrap, &script))
+}
+
+/// An open undo journal on the analysis graph, rolled back on drop — after
+/// the last op and during unwinding alike.
+struct Journal<'g>(&'g mut SchemaGraph);
+
+impl<'g> Journal<'g> {
+    fn open(graph: &'g mut SchemaGraph) -> Self {
+        graph.begin_undo();
+        Journal(graph)
+    }
+}
+
+impl Drop for Journal<'_> {
+    fn drop(&mut self) {
+        self.0.rollback_undo();
+    }
 }
 
 /// A modify whose `new` state equals its `old` state is a no-op the script
@@ -243,12 +289,12 @@ fn redundant_modify(op: &ModOp) -> Option<String> {
 
 /// Track creations, deletions, and in-place modifies across the script:
 /// feeds the A002 refinement, W102 (delete of own create), and W103 (a
-/// modify whose construct a later op deletes). Runs *before* the state
-/// transfer of `op`, so deletions can resolve the constructs they remove
-/// (e.g. the inverse end of a relationship) through the still-live state.
+/// modify whose construct a later op deletes). Runs *before* `op` is
+/// applied, so deletions can resolve the constructs they remove (e.g. the
+/// inverse end of a relationship) through the still-live graph.
 #[allow(clippy::too_many_arguments)]
 fn track_script_flow(
-    state: &AbsState<'_>,
+    graph: &SchemaGraph,
     op: &ModOp,
     i: usize,
     created: &mut HashSet<String>,
@@ -294,21 +340,21 @@ fn track_script_flow(
             warn_own_create(ty, findings);
             drain_modifies(ty, pending_modifies, findings);
             // Members and incident edges die with the type.
-            if let Some(id) = SchemaView::type_id(state, ty) {
-                let node = state.ty(id);
+            if let Some(id) = graph.type_id(ty) {
+                let node = graph.ty(id);
                 for &(rid, e) in &node.rel_ends {
-                    let far = state.rel(rid).end(1 - e);
+                    let far = graph.rel(rid).end(1 - e);
                     deleted_members
-                        .insert((state.type_name(far.owner).to_string(), far.path.to_string()));
+                        .insert((graph.type_name(far.owner).to_string(), far.path.to_string()));
                 }
                 for &lid in node.parent_links.iter().chain(&node.child_links) {
-                    let l = state.link(lid);
+                    let l = graph.link(lid);
                     deleted_members.insert((
-                        state.type_name(l.parent).to_string(),
+                        graph.type_name(l.parent).to_string(),
                         l.parent_path.to_string(),
                     ));
                     deleted_members.insert((
-                        state.type_name(l.child).to_string(),
+                        graph.type_name(l.child).to_string(),
                         l.child_path.to_string(),
                     ));
                 }
@@ -365,11 +411,11 @@ fn track_script_flow(
             warn_own_create(&key, findings);
             drain_modifies(&key, pending_modifies, findings);
             deleted_members.insert((ty.clone(), path.clone()));
-            // The inverse end, resolved through the pre-transfer state.
-            if let Some(id) = SchemaView::type_id(state, ty) {
-                if let Some((rid, e)) = state.find_rel_end(id, path) {
-                    let far = state.rel(rid).end(1 - e);
-                    let far_ty = state.type_name(far.owner).to_string();
+            // The inverse end, resolved through the pre-transfer graph.
+            if let Some(id) = graph.type_id(ty) {
+                if let Some((rid, e)) = graph.find_rel_end(id, path) {
+                    let far = graph.rel(rid).end(1 - e);
+                    let far_ty = graph.type_name(far.owner).to_string();
                     let far_path = far.path.to_string();
                     drain_modifies(&member_key(&far_ty, &far_path), pending_modifies, findings);
                     deleted_members.insert((far_ty, far_path));
@@ -386,11 +432,11 @@ fn track_script_flow(
                 ModOp::DeletePartOfRelationship { .. } => sws_odl::HierKind::PartOf,
                 _ => sws_odl::HierKind::InstanceOf,
             };
-            if let Some(id) = SchemaView::type_id(state, ty) {
-                if let Some((lid, _)) = state.find_link(kind, id, path) {
-                    let l = state.link(lid);
+            if let Some(id) = graph.type_id(ty) {
+                if let Some((lid, _)) = graph.find_link(kind, id, path) {
+                    let l = graph.link(lid);
                     for (t, p) in [(l.parent, l.parent_path), (l.child, l.child_path)] {
-                        let tn = state.type_name(t).to_string();
+                        let tn = graph.type_name(t).to_string();
                         drain_modifies(&member_key(&tn, p.as_str()), pending_modifies, findings);
                         deleted_members.insert((tn, p.to_string()));
                     }

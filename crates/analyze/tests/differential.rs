@@ -10,17 +10,38 @@
 //! hard assertions, swept over the whole corpus, synthetic graphs, and
 //! three generator families (valid, churn, adversarial) across many
 //! seeds, plus a proptest run over random sizes and seeds.
+//!
+//! Every script is also analyzed in place ([`analyze_ops_in`]) on a clone
+//! of the base graph: the report must equal the one-shot report, and the
+//! rolled-back clone must be indistinguishable from the base — including
+//! after scripts the executor stops mid-way.
 
-use sws_analyze::analyze_ops;
+use sws_analyze::{analyze_ops, analyze_ops_in};
 use sws_bench::edit_scripts::{churn_stream, edit_stream, faulty_stream};
 use sws_core::{ConceptKind, ModOp, Workspace};
 use sws_corpus::synthetic::SyntheticSpec;
-use sws_model::SchemaGraph;
+use sws_model::{diff_graphs, SchemaGraph};
 
 /// Run both sides and demand exact agreement. Returns what the executor
 /// did, so callers can count rejections.
 fn assert_sound(label: &str, base: &SchemaGraph, script: &[(ConceptKind, ModOp)]) -> bool {
     let report = analyze_ops(base, base, script);
+    let mut in_place = base.clone();
+    assert_eq!(
+        analyze_ops_in(&mut in_place, base, script),
+        report,
+        "{label}: in-place analysis disagrees with the one-shot report",
+    );
+    let drift = diff_graphs(base, &in_place);
+    assert!(
+        drift.is_empty(),
+        "{label}: rollback left the graph changed: {drift:#?}"
+    );
+    assert_eq!(
+        in_place.arena_stats(),
+        base.arena_stats(),
+        "{label}: rollback left arena slots behind",
+    );
     let mut ws = Workspace::new(base.clone());
     match ws.replay(script.iter().cloned()) {
         Ok(()) => {

@@ -1,16 +1,20 @@
-//! Static-analyzer cost: `sws_analyze::analyze_ops` must be O(script),
-//! not O(graph) — the abstract interpreter overlays a copy-on-write
-//! environment over the base schema and never clones or mutates it.
+//! Static-analyzer cost. `sws_analyze::analyze_ops` runs the real
+//! executor on a clone of the base graph under one undo journal and rolls
+//! it back, so a script costs one graph clone (O(types)) plus what
+//! applying its ops costs (`delete_type_definition` scans the arenas, as
+//! apply does).
 //!
-//! Two sweeps make the claim measurable:
+//! Two sweeps make the cost visible:
 //!
 //! * `fixed_script/typesN` — a 64-op stream (adds/deletes; no extent ops,
-//!   whose uniqueness precondition scans live types in the executor and
-//!   analyzer alike) analyzed against graphs of growing size. Per-op cost
-//!   should stay flat as N grows.
+//!   whose uniqueness precondition scans live types) analyzed against
+//!   graphs of growing size. The growth with N is the clone plus the
+//!   executor's own O(types) terms.
 //! * `fixed_graph/opsN` — growing scripts against one 200-type graph.
-//!   Total cost should grow linearly in script length.
+//!   Total cost should grow roughly linearly in script length.
 //!
+//! The `fixed_script` routines assert only that the script passes;
+//! nothing here asserts a cost shape.
 //! Graph sizes default to 100 / 500 / 2000 (override `SWS_BENCH_SIZES`);
 //! iterations via `SWS_BENCH_ITERS`.
 

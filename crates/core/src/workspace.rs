@@ -19,8 +19,8 @@
 //!   working schema (invalidated by its generation counter), one with the
 //!   immutable shrink wrap schema (never invalidated);
 //! * an **undo log** of [`UndoPatch`]es, one per applied operation, so
-//!   rejection cleanup and [`Workspace::reset`] replay inverse images
-//!   instead of cloning the whole graph;
+//!   rejection cleanup, [`Workspace::undo_last`] and [`Workspace::reset`]
+//!   replay inverse images instead of cloning the whole graph;
 //! * a [`ConsistencyState`] holding per-type consistency findings, kept
 //!   current incrementally from each operation's
 //!   [`DirtySet`](crate::impact::DirtySet). Consistency maintenance is
@@ -278,15 +278,24 @@ impl Workspace {
         &self.qc_working
     }
 
-    /// Reset the working schema back to the shrink wrap schema by replaying
-    /// the undo log in reverse, clearing the log.
+    /// Take back the last applied operation: pop its log record and revert
+    /// its undo patch. The consistency state is invalidated, so the next
+    /// [`Self::consistency`] read rechecks from scratch. Returns the popped
+    /// record, or `None` when the log is empty (a resumed workspace cannot
+    /// undo past its snapshot image).
+    pub fn undo_last(&mut self) -> Option<AppliedOp> {
+        let record = self.log.pop()?;
+        let patch = self.undo.pop().expect("one undo patch per log record");
+        self.working.revert(&patch);
+        self.state.borrow_mut().invalidate();
+        Some(record)
+    }
+
+    /// Reset the working schema back to the shrink wrap schema by undoing
+    /// every logged operation, newest first.
     pub fn reset(&mut self) {
         let mut sp = sws_trace::span!("ws.reset", patches = self.undo.len());
-        while let Some(patch) = self.undo.pop() {
-            self.working.revert(&patch);
-        }
-        self.log.clear();
-        self.state.borrow_mut().invalidate();
+        while self.undo_last().is_some() {}
         sp.record("generation", self.working.generation() as usize);
         // Oracle: undo replay must land on a graph structurally identical
         // to the graph the session started from — the shrink wrap copy,
@@ -568,6 +577,37 @@ mod tests {
             ws.consistency(),
             check_consistency(ws.working(), ws.shrink_wrap())
         );
+    }
+
+    #[test]
+    fn undo_last_steps_back_one_op_at_a_time() {
+        let mut ws = workspace();
+        ws.apply(
+            ConceptKind::WagonWheel,
+            ModOp::AddTypeDefinition { ty: "X".into() },
+        )
+        .unwrap();
+        let after_first = graph_to_schema(ws.working());
+        assert!(ws.consistency().errors().next().is_none());
+        ws.apply(
+            ConceptKind::WagonWheel,
+            ModOp::DeleteTypeDefinition {
+                ty: "Employee".into(),
+            },
+        )
+        .unwrap();
+        let undone = ws.undo_last().expect("a logged op");
+        assert_eq!(undone.context, ConceptKind::WagonWheel);
+        assert!(matches!(undone.op, ModOp::DeleteTypeDefinition { .. }));
+        assert_eq!(graph_to_schema(ws.working()), after_first);
+        assert_eq!(ws.log().len(), 1);
+        assert_eq!(
+            ws.consistency(),
+            check_consistency(ws.working(), ws.shrink_wrap())
+        );
+        assert!(ws.undo_last().is_some());
+        assert!(ws.undo_last().is_none(), "the log is empty");
+        assert!(sws_model::diff_graphs(ws.shrink_wrap(), ws.working()).is_empty());
     }
 
     #[test]

@@ -15,11 +15,16 @@
 //!
 //! * **Mutations are totally ordered.** `submit` and `checkpoint` take the
 //!   core lock; the accepted-op log is the single serialization point, so
-//!   a serial replay of the log always reproduces the live state.
+//!   a serial replay of the log always reproduces the live state. A batch
+//!   applies whole in memory before any of it is appended to disk; a
+//!   rejected batch is rolled back through the undo journal and never
+//!   touches the disk.
 //! * **Reads never take the core lock.** `report`, `export`, `log`,
 //!   `lint`, and `ping` are served from an immutable [`ReadView`] snapshot
 //!   (swapped atomically after each accepted mutation), so any number of
-//!   sessions can read concurrently while another writes.
+//!   sessions can read concurrently while another writes. `lint` (and
+//!   the conflict check) analyze in place on the view's own graph copy
+//!   under its mutex, so concurrent lints of one view take turns.
 //! * **Checkpointing stays off the request path.** A submit never
 //!   checkpoints inline; [`DesignService::maintain`] — called by the
 //!   server *after* the response is written — compacts once enough ops
@@ -29,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-use sws_analyze::{analyze_ops, commutes, footprint};
+use sws_analyze::{analyze_ops_in, commutes, footprint, LintReport};
 use sws_core::oplang::{parse_statement, print_op};
 use sws_core::{ConceptKind, ModOp};
 use sws_model::SchemaGraph;
@@ -243,8 +248,10 @@ pub struct ReadView {
     /// Cross-schema consistency error / warning counts at the head.
     pub errors: usize,
     pub warnings: usize,
-    /// Head working graph (for lint's abstract interpreter).
-    pub working: Arc<SchemaGraph>,
+    /// The view's own copy of the head working graph. Lint and the
+    /// conflict check analyze in place on it (apply, then roll back the
+    /// undo journal); the mutex serializes those analyses.
+    pub working: Mutex<SchemaGraph>,
     /// The immutable shrink-wrap schema.
     pub shrink: Arc<SchemaGraph>,
 }
@@ -261,7 +268,7 @@ struct Core {
 }
 
 /// The service. See the module docs for the locking contract; lock order
-/// is always `sessions` → `core` → `log` → `view`.
+/// is always `sessions` → `core` → `log` → `view` → the view's `working`.
 pub struct DesignService {
     sessions: RwLock<HashMap<String, SessionMeta>>,
     core: Mutex<Core>,
@@ -325,9 +332,18 @@ impl DesignService {
             odl: repo.custom_schema_odl(),
             errors: consistency.errors().count(),
             warnings: consistency.warnings().count(),
-            working: Arc::new(repo.workspace().working().clone()),
+            working: Mutex::new(repo.workspace().working().clone()),
             shrink: Arc::new(repo.workspace().shrink_wrap().clone()),
         }
+    }
+
+    /// Analyze `script` against the head in place on the read view's
+    /// graph. Never takes the core lock and never clones a graph.
+    fn analyze(view: &ReadView, script: &[(ConceptKind, ModOp)]) -> LintReport {
+        // A panicking analysis rolls its journal back while unwinding, so
+        // a poisoned lock still guards an intact graph.
+        let mut working = view.working.lock().unwrap_or_else(PoisonError::into_inner);
+        analyze_ops_in(&mut working, &view.shrink, script)
     }
 
     /// The current read snapshot.
@@ -516,40 +532,33 @@ impl DesignService {
             };
         }
         if base_rev < rev {
-            return self.conflict(&core, session, base_rev, rev, ops, &script);
+            return self.conflict(session, base_rev, rev, ops, &script);
         }
 
         // At the head: apply atomically. Any failure rolls the applied
-        // prefix back, so a `rejected` response always means "nothing
-        // happened".
-        let mut warnings = Vec::new();
-        for (i, (context, op)) in script.iter().enumerate() {
-            core.session.set_context(*context);
-            match core.session.issue(op.clone()) {
-                Ok(feedback) => {
-                    warnings.extend(feedback.warnings.iter().map(|w| format!("ops[{i}]: {w}")));
-                }
-                Err(e) => {
-                    for _ in 0..i {
-                        core.session
-                            .undo()
-                            .expect("undoing the just-applied batch prefix");
-                    }
-                    core.session.clear_history();
-                    sws_trace::counter("serve.rejected", 1);
-                    return Response::Rejected {
-                        session: session.to_string(),
-                        rev,
-                        index: i,
-                        error: e.to_string(),
-                    };
-                }
+        // prefix back in memory before anything reaches the disk, so a
+        // `rejected` response always means "nothing happened".
+        let feedback = match core.session.issue_batch(&script) {
+            Ok(feedback) => feedback,
+            Err((index, e)) => {
+                sws_trace::counter("serve.rejected", 1);
+                return Response::Rejected {
+                    session: session.to_string(),
+                    rev,
+                    index,
+                    error: e.to_string(),
+                };
             }
-        }
+        };
+        let mut warnings: Vec<String> = feedback
+            .iter()
+            .enumerate()
+            .flat_map(|(i, fb)| fb.warnings.iter().map(move |w| format!("ops[{i}]: {w}")))
+            .collect();
         if let Some(w) = core.session.take_autosave_warning() {
             warnings.push(format!("autosave: {w}"));
         }
-        // The batch is in; drop the per-op undo snapshots (the service's
+        // The batch is in; drop the per-op undo history (the service's
         // only rollback unit is the batch) and publish.
         core.session.clear_history();
         {
@@ -578,10 +587,10 @@ impl DesignService {
 
     /// Build the conflict report for a stale submit: the delta since
     /// `base_rev`, pairwise commutation hints, and the auto-rebasable
-    /// verdict. Nothing is applied.
+    /// verdict. Nothing is applied. Called under the core lock, so the read
+    /// view is the head.
     fn conflict(
         &self,
-        core: &Core,
         session: &str,
         base_rev: u64,
         rev: u64,
@@ -623,9 +632,7 @@ impl DesignService {
         }
         // Auto-rebasable = order-independent (everything commutes) and the
         // analyzer proves the batch still applies cleanly at the head.
-        let ws = core.session.repository().workspace();
-        let auto_rebasable =
-            conflicts.is_empty() && analyze_ops(ws.working(), ws.shrink_wrap(), script).passes();
+        let auto_rebasable = conflicts.is_empty() && Self::analyze(&self.view(), script).passes();
         sws_trace::counter("serve.conflicts", 1);
         if auto_rebasable {
             sws_trace::counter("serve.rebase_auto", 1);
@@ -656,7 +663,7 @@ impl DesignService {
             }
         };
         let view = self.view();
-        let report = analyze_ops(&view.working, &view.shrink, &script);
+        let report = Self::analyze(&view, &script);
         Response::Linted {
             rev: view.rev,
             ops: script.len(),

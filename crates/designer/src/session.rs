@@ -1,5 +1,10 @@
 //! The interactive design session: concept-schema navigation, operation
 //! issuing, feedback, and undo/redo.
+//!
+//! Undo runs on the workspace's undo journal (one `UndoPatch` per applied
+//! op); redo re-applies the logged op. Alias edits, which live outside the
+//! op log, keep the previous alias table instead. No step clones the
+//! repository.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -7,7 +12,7 @@ use std::path::{Path, PathBuf};
 use sws_core::concept::{ConceptSchema, Decomposition};
 use sws_core::consistency::ConsistencyReport;
 use sws_core::oplang::parse_statement;
-use sws_core::{ConceptKind, Feedback, Mapping, ModOp, OpError};
+use sws_core::{AliasTable, ConceptKind, Feedback, Mapping, ModOp, OpError};
 use sws_odl::OdlError;
 use sws_repository::io::{RealIo, RepoIo};
 use sws_repository::{append_log_line, CheckpointOutcome, RecoveryReport, RepoError, Repository};
@@ -62,14 +67,24 @@ impl From<RepoError> for SessionError {
     }
 }
 
+/// One undoable (or redoable) step of a session.
+#[derive(Debug)]
+enum Edit {
+    /// An applied operation, in the context it was issued in. Undo takes
+    /// it back through the workspace's undo journal; redo applies it again.
+    Op(ConceptKind, ModOp),
+    /// An alias edit: the table to swap back in.
+    Aliases(AliasTable),
+}
+
 /// One interactive design session.
 #[derive(Debug)]
 pub struct Session {
     repo: Repository,
     context: ConceptKind,
     focus: Option<String>,
-    undo_stack: Vec<Repository>,
-    redo_stack: Vec<Repository>,
+    undo_stack: Vec<Edit>,
+    redo_stack: Vec<Edit>,
     /// Directory each applied op is durably appended to. Attached by
     /// [`Session::save`] and [`Session::load`]; detached (with a warning)
     /// on the first append failure so a dying disk cannot wedge the REPL.
@@ -117,27 +132,28 @@ impl Session {
         &self.repo
     }
 
-    /// The repository, mutably (e.g. to register local names). Alias
-    /// changes participate in undo/redo like operations do.
+    /// The repository, mutably. Changes made through it bypass undo/redo;
+    /// register local names with [`Self::set_alias`] to make them undoable.
     pub fn repository_mut(&mut self) -> &mut Repository {
         &mut self.repo
     }
 
-    /// Register a local (display/export) name, snapshotting for undo.
+    /// Register a local (display/export) name, keeping the previous alias
+    /// table for undo.
     pub fn set_alias(
         &mut self,
         ty: &str,
         member: Option<&str>,
         local: &str,
     ) -> Result<(), SessionError> {
-        let snapshot = self.repo.clone();
+        let previous = self.repo.aliases().clone();
         let result = match member {
             None => self.repo.set_type_alias(ty, local),
             Some(member) => self.repo.set_member_alias(ty, member, local),
         };
         match result {
             Ok(()) => {
-                self.undo_stack.push(snapshot);
+                self.undo_stack.push(Edit::Aliases(previous));
                 self.redo_stack.clear();
                 // Aliases live outside the op log: autosave needs a full
                 // rewrite, not an append.
@@ -191,19 +207,65 @@ impl Session {
     /// before any checkpoint starts — a checkpoint's MANIFEST generation
     /// commits with no autosave interleaved into its micro-steps.
     pub fn issue(&mut self, op: ModOp) -> Result<Feedback, SessionError> {
-        let snapshot = self.repo.clone();
-        let feedback = self.repo.workspace_mut().apply(self.context, op.clone())?;
-        self.undo_stack.push(snapshot);
+        let feedback = self.apply(self.context, op)?;
         self.redo_stack.clear();
-        if let Some(dir) = self.autosave_dir.clone() {
-            let seq = self.repo.total_ops() - 1;
-            if let Err(e) = append_log_line(self.io.as_ref(), &dir, seq, self.context, &op) {
-                self.disable_autosave(&dir, &e);
-            } else {
-                self.maybe_autocheckpoint(&dir);
+        self.persist_from(self.repo.total_ops() - 1);
+        Ok(feedback)
+    }
+
+    /// Issue a batch of `(context, op)` pairs atomically. Every op is
+    /// applied in memory first; on the first failure the applied prefix is
+    /// taken back through the undo journal and `Err((index, error))` is
+    /// returned with the disk untouched. Only a batch that applied whole is
+    /// appended to the autosave directory (then the auto-checkpoint
+    /// interval is consulted, as for [`Self::issue`]).
+    pub fn issue_batch(
+        &mut self,
+        batch: &[(ConceptKind, ModOp)],
+    ) -> Result<Vec<Feedback>, (usize, SessionError)> {
+        let start = self.repo.total_ops();
+        let mut feedback = Vec::with_capacity(batch.len());
+        for (i, (context, op)) in batch.iter().enumerate() {
+            match self.apply(*context, op.clone()) {
+                Ok(fb) => feedback.push(fb),
+                Err(e) => {
+                    for _ in 0..i {
+                        self.repo.undo_last();
+                        self.undo_stack.pop();
+                    }
+                    return Err((i, e));
+                }
             }
         }
+        self.redo_stack.clear();
+        self.persist_from(start);
         Ok(feedback)
+    }
+
+    /// Apply one op and record it for undo.
+    fn apply(&mut self, context: ConceptKind, op: ModOp) -> Result<Feedback, SessionError> {
+        let feedback = self.repo.workspace_mut().apply(context, op.clone())?;
+        self.undo_stack.push(Edit::Op(context, op));
+        Ok(feedback)
+    }
+
+    /// Durably append the in-memory records from global sequence number
+    /// `from` onward to the autosave directory, then consult the
+    /// auto-checkpoint interval. The first failed append detaches autosave.
+    fn persist_from(&mut self, from: u64) {
+        let Some(dir) = self.autosave_dir.clone() else {
+            return;
+        };
+        let base = self.repo.base_seq();
+        let log = self.repo.workspace().log();
+        for (seq, record) in (base..).zip(log).skip((from - base) as usize) {
+            if let Err(e) = append_log_line(self.io.as_ref(), &dir, seq, record.context, &record.op)
+            {
+                self.disable_autosave(&dir, &e);
+                return;
+            }
+        }
+        self.maybe_autocheckpoint(&dir);
     }
 
     /// Checkpoint now, if enough ops accumulated since the last one.
@@ -263,29 +325,44 @@ impl Session {
         self.issue(op)
     }
 
-    /// Undo the last applied operation. Autosave rewrites the whole
+    /// Undo the last operation or alias edit. Autosave rewrites the whole
     /// directory: undo shortens the op log, which an append cannot express.
     pub fn undo(&mut self) -> Result<(), SessionError> {
-        let snapshot = self.undo_stack.pop().ok_or(SessionError::NothingToUndo)?;
-        self.redo_stack
-            .push(std::mem::replace(&mut self.repo, snapshot));
+        let redo = match self.undo_stack.pop().ok_or(SessionError::NothingToUndo)? {
+            op @ Edit::Op(..) => {
+                self.repo
+                    .undo_last()
+                    .expect("every undoable op is in the in-memory log");
+                op
+            }
+            Edit::Aliases(table) => Edit::Aliases(self.repo.replace_aliases(table)),
+        };
+        self.redo_stack.push(redo);
         self.autosave_full();
         Ok(())
     }
 
-    /// Redo the last undone operation.
+    /// Redo the last undone operation or alias edit. A redone op is
+    /// appended to the autosave directory like a freshly issued one.
     pub fn redo(&mut self) -> Result<(), SessionError> {
-        let snapshot = self.redo_stack.pop().ok_or(SessionError::NothingToRedo)?;
-        self.undo_stack
-            .push(std::mem::replace(&mut self.repo, snapshot));
-        self.autosave_full();
+        match self.redo_stack.pop().ok_or(SessionError::NothingToRedo)? {
+            Edit::Op(context, op) => {
+                self.apply(context, op)?;
+                self.persist_from(self.repo.total_ops() - 1);
+            }
+            Edit::Aliases(table) => {
+                let undo = Edit::Aliases(self.repo.replace_aliases(table));
+                self.undo_stack.push(undo);
+                self.autosave_full();
+            }
+        }
         Ok(())
     }
 
-    /// Drop the undo/redo history (the snapshots backing it). Long-running
-    /// hosts like `swsd serve` call this after each committed batch: their
-    /// rollback unit is the batch, and per-op repository snapshots would
-    /// otherwise accumulate for the life of the process.
+    /// Drop the undo/redo history. Long-running hosts like `swsd serve`
+    /// call this after each committed batch: their rollback unit is the
+    /// batch, and the per-op history would otherwise accumulate for the
+    /// life of the process.
     pub fn clear_history(&mut self) {
         self.undo_stack.clear();
         self.redo_stack.clear();
@@ -454,26 +531,118 @@ mod tests {
         ));
     }
 
+    /// Everything a designer can observe of a session state.
+    fn observed(s: &Session) -> (String, String, ConsistencyReport) {
+        (
+            s.repository().custom_schema_local_odl(),
+            s.repository().render_log(),
+            s.consistency(),
+        )
+    }
+
     #[test]
     fn undo_redo_cycle() {
         let mut s = session();
-        let before = graph_to_schema(s.repository().workspace().working());
+        let mut states = vec![observed(&s)];
         s.issue_str("add_type_definition(Project)").unwrap();
-        let after = graph_to_schema(s.repository().workspace().working());
-        assert_ne!(before, after);
+        states.push(observed(&s));
+        s.set_alias("Project", None, "Initiative").unwrap();
+        states.push(observed(&s));
+        s.issue_str("delete_attribute(Employee, badge)").unwrap();
+        states.push(observed(&s));
 
-        s.undo().unwrap();
-        assert_eq!(
-            graph_to_schema(s.repository().workspace().working()),
-            before
-        );
-        s.redo().unwrap();
-        assert_eq!(graph_to_schema(s.repository().workspace().working()), after);
+        for i in (0..3).rev() {
+            s.undo().unwrap();
+            assert_eq!(observed(&s), states[i], "undo back to state {i}");
+        }
+        assert!(matches!(s.undo(), Err(SessionError::NothingToUndo)));
+        for (i, state) in states.iter().enumerate().skip(1) {
+            s.redo().unwrap();
+            assert_eq!(&observed(&s), state, "redo forward to state {i}");
+        }
         assert!(matches!(s.redo(), Err(SessionError::NothingToRedo)));
-        // A new operation clears the redo stack.
+
+        // A fresh issue clears whatever was left to redo.
+        s.undo().unwrap();
         s.undo().unwrap();
         s.issue_str("add_type_definition(Task)").unwrap();
         assert!(matches!(s.redo(), Err(SessionError::NothingToRedo)));
+    }
+
+    #[test]
+    fn a_failed_batch_rolls_back_whole() {
+        let mut s = session();
+        s.issue_str("add_type_definition(Project)").unwrap();
+        let before = observed(&s);
+        let ww = |stmt: &str| (ConceptKind::WagonWheel, parse_statement(stmt).unwrap());
+        let (index, err) = s
+            .issue_batch(&[
+                ww("add_type_definition(Task)"),
+                ww("add_type_definition(Project)"),
+            ])
+            .unwrap_err();
+        assert_eq!(index, 1);
+        assert!(matches!(err, SessionError::Op(_)));
+        assert_eq!(observed(&s), before);
+        // The history is as it was before the batch.
+        s.undo().unwrap();
+        assert!(matches!(s.undo(), Err(SessionError::NothingToUndo)));
+    }
+
+    #[test]
+    fn a_loaded_session_has_nothing_to_undo() {
+        let mut s = session();
+        s.issue_str("add_type_definition(Project)").unwrap();
+        let dir = std::env::temp_dir().join(format!("sws_load_undo_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        s.save(&dir).unwrap();
+        let mut loaded = Session::load(&dir).unwrap();
+        assert!(matches!(loaded.undo(), Err(SessionError::NothingToUndo)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn undo_past_a_checkpoint_still_saves_a_strictly_loadable_directory() {
+        let mut s = session();
+        s.set_checkpoint_interval(None);
+        let dir = std::env::temp_dir().join(format!("sws_undo_ckpt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        s.save(&dir).unwrap();
+        let tail_in_range = |s: &Session| {
+            let repo = s.repository();
+            assert!(
+                repo.tail_start() <= repo.total_ops(),
+                "tail starts at {} past {} ops",
+                repo.tail_start(),
+                repo.total_ops()
+            );
+        };
+
+        s.issue_str("add_type_definition(Project)").unwrap();
+        s.issue_str("add_type_definition(Task)").unwrap();
+        s.checkpoint().unwrap().expect("two ops to checkpoint");
+        tail_in_range(&s);
+        s.undo().unwrap();
+        tail_in_range(&s);
+        s.undo().unwrap();
+        tail_in_range(&s);
+        s.issue_str("add_type_definition(Sprint)").unwrap();
+        tail_in_range(&s);
+        s.checkpoint().unwrap().expect("one op to checkpoint");
+        tail_in_range(&s);
+        s.issue_str("add_type_definition(Epic)").unwrap();
+        tail_in_range(&s);
+        s.final_save().unwrap();
+
+        let loaded = Session::load_strict(&dir).unwrap();
+        assert_eq!(
+            loaded.repository().custom_schema_odl(),
+            s.repository().custom_schema_odl()
+        );
+        assert_eq!(loaded.repository().total_ops(), s.repository().total_ops());
+        assert_eq!(loaded.repository().total_ops(), 2);
+        tail_in_range(&loaded);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * a re-served session directory accepts reattaching clients whose
 //!   `opened` rev is exactly the salvaged op count, and a fresh submit at
 //!   that rev lands.
+//!
+//! A rejected batch is also pinned never to reach the disk at all.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -20,9 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use sws_core::ConceptKind;
 use sws_corpus::university;
 use sws_designer::protocol::Json;
-use sws_designer::{serve, DesignService, Session};
+use sws_designer::{serve, DesignService, OpEnvelope, Request, Response, Session};
 use sws_repository::io::{FaultIo, MemIo, RepoIo};
 use sws_repository::Repository;
 
@@ -305,4 +308,62 @@ fn crash_mid_checkpoint_salvages_pre_or_post_state() {
 fn crash_mid_snapshot_write_keeps_the_old_generation() {
     // Die while the snapshot blob itself is being staged.
     crash_and_salvage(|io| io.crash_on_contains("snapshot", 1));
+}
+
+/// A multi-op submit whose second op is rejected must leave the disk
+/// untouched: nothing is appended before the whole batch has applied, so
+/// there is no rollback rewrite either — and a crash at any point can
+/// never surface an op the service refused.
+#[test]
+fn rejected_batch_never_touches_the_disk() {
+    let dir = PathBuf::from("/mem/batch");
+    let io = Arc::new(FaultIo::new(MemIo::new()));
+    let mut session = Session::from_odl(university::SOURCE).expect("schema");
+    session.set_io(Box::new(SharedIo(io.clone())));
+    session.save(&dir).expect("initial save");
+    let service = DesignService::new(session);
+    service.handle(Request::Open {
+        session: "c0".into(),
+    });
+    let pre_batch = service.view().odl.clone();
+    let stmt = |s: &str| OpEnvelope {
+        context: ConceptKind::WagonWheel,
+        statement: s.to_string(),
+    };
+    io.clear_journal();
+
+    let response = service.handle(Request::Submit {
+        session: "c0".into(),
+        base_rev: service.view().rev,
+        ops: vec![
+            stmt("add_type_definition(Fresh)"),
+            stmt("add_type_definition(Fresh)"),
+        ],
+    });
+    assert!(
+        matches!(response, Response::Rejected { index: 1, .. }),
+        "{response:?}"
+    );
+    let journal = io.journal();
+    assert!(
+        journal
+            .iter()
+            .all(|l| !l.starts_with("append") && !l.starts_with("rename")),
+        "a rejected batch reached the disk: {journal:#?}"
+    );
+    assert_eq!(service.view().odl, pre_batch);
+
+    // The directory as it stands loads strictly to the pre-batch export.
+    let real = std::env::temp_dir().join(format!("sws_rejected_batch_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&real);
+    std::fs::create_dir_all(&real).expect("scratch dir");
+    for path in io.fs().paths() {
+        if let Ok(name) = path.strip_prefix(&dir) {
+            let bytes = io.fs().contents(&path).expect("listed file");
+            std::fs::write(real.join(name), bytes).expect("copy out");
+        }
+    }
+    let loaded = Session::load_strict(&real).expect("strict load");
+    assert_eq!(loaded.repository().custom_schema_odl(), pre_batch);
+    std::fs::remove_dir_all(&real).expect("cleanup");
 }

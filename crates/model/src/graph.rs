@@ -44,27 +44,6 @@ pub struct TypeNode {
     pub(crate) alive: bool,
 }
 
-impl TypeNode {
-    /// A new, live, empty type node. States that build nodes outside a
-    /// graph (the static analyzer's overlay) start from this.
-    pub fn fresh(name: Symbol) -> TypeNode {
-        TypeNode {
-            name,
-            is_abstract: false,
-            extent: None,
-            keys: Vec::new(),
-            supertypes: Vec::new(),
-            subtypes: Vec::new(),
-            attrs: Vec::new(),
-            rel_ends: Vec::new(),
-            ops: Vec::new(),
-            parent_links: Vec::new(),
-            child_links: Vec::new(),
-            alive: true,
-        }
-    }
-}
-
 /// An attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrNode {
@@ -77,19 +56,6 @@ pub struct AttrNode {
     /// Optional size constraint.
     pub size: Option<u32>,
     pub(crate) alive: bool,
-}
-
-impl AttrNode {
-    /// A new, live attribute node (see [`TypeNode::fresh`]).
-    pub fn fresh(owner: TypeId, name: Symbol, ty: DomainType, size: Option<u32>) -> AttrNode {
-        AttrNode {
-            owner,
-            name,
-            ty,
-            size,
-            alive: true,
-        }
-    }
 }
 
 /// One end of a relationship.
@@ -114,11 +80,6 @@ pub struct RelNode {
 }
 
 impl RelNode {
-    /// A new, live relationship node (see [`TypeNode::fresh`]).
-    pub fn fresh(ends: [RelEnd; 2]) -> RelNode {
-        RelNode { ends, alive: true }
-    }
-
     /// The end at `idx` (0 or 1).
     pub fn end(&self, idx: u8) -> &RelEnd {
         &self.ends[idx as usize]
@@ -143,20 +104,6 @@ pub struct OpNode {
     pub(crate) alive: bool,
 }
 
-impl OpNode {
-    /// A new, live operation node (see [`TypeNode::fresh`]). The interned
-    /// name is derived from the signature, like [`SchemaGraph::add_operation`]
-    /// does.
-    pub fn fresh(owner: TypeId, op: Operation) -> OpNode {
-        OpNode {
-            owner,
-            name: Symbol::intern(&op.name),
-            op,
-            alive: true,
-        }
-    }
-}
-
 /// A part-of or instance-of link. The parent side (whole / generic entity)
 /// is collection-valued; the child side (component / instance entity) is
 /// single-valued — the implicit 1:N cardinality of the paper's extensions.
@@ -177,30 +124,6 @@ pub struct LinkNode {
     /// Traversal path on the child side (e.g. `wall_of`), interned.
     pub child_path: Symbol,
     pub(crate) alive: bool,
-}
-
-impl LinkNode {
-    /// A new, live link node (see [`TypeNode::fresh`]).
-    pub fn fresh(
-        kind: HierKind,
-        parent: TypeId,
-        parent_path: Symbol,
-        collection: CollectionKind,
-        order_by: Vec<Symbol>,
-        child: TypeId,
-        child_path: Symbol,
-    ) -> LinkNode {
-        LinkNode {
-            kind,
-            parent,
-            parent_path,
-            collection,
-            order_by,
-            child,
-            child_path,
-            alive: true,
-        }
-    }
 }
 
 /// Which side of a [`LinkNode`] a lookup landed on.

@@ -1,17 +1,15 @@
 //! [`SchemaView`]: a read-only abstraction over "something that looks like
 //! a schema graph".
 //!
-//! The precondition checker in `sws-core` and the static analyzer in
-//! `sws-analyze` must agree *exactly* on what a schema looks like mid-edit:
-//! the analyzer predicts the first `OpError` the apply pipeline would
-//! produce without ever mutating a [`SchemaGraph`]. Instead of duplicating
-//! the checker over a second state representation (and letting the two
-//! drift), the checker is generic over this trait. Implementations:
+//! The precondition checker in `sws-core` is generic over this trait, so
+//! the executor's memoized hot path and plain one-off checks share one
+//! implementation. Implementations:
 //!
-//! * [`SchemaGraph`] itself — every query computed fresh,
+//! * [`SchemaGraph`] itself — every query computed fresh (what the static
+//!   analyzer in `sws-analyze` checks against: it runs the real executor
+//!   on a graph under an undo journal and rolls the journal back),
 //! * [`CachedView`] — a graph paired with its [`QueryCache`], preserving
-//!   the executor's memoized hot path unchanged,
-//! * `sws_analyze::AbsState` — a copy-on-write overlay over a base graph.
+//!   the executor's memoized hot path unchanged.
 //!
 //! The traversal algorithms (`ancestors`, `descendants`, visible members,
 //! hierarchy parents) live here as generic functions; `crate::query`'s

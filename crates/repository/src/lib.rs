@@ -69,7 +69,9 @@ use sws_core::concept::normalize_single_root;
 use sws_core::consistency::ConsistencyReport;
 use sws_core::mapping::derive_mapping;
 use sws_core::oplang::{parse_statement, print_op};
-use sws_core::{AliasError, AliasTable, ConceptKind, Mapping, ModOp, OpError, Workspace};
+use sws_core::{
+    AliasError, AliasTable, AppliedOp, ConceptKind, Mapping, ModOp, OpError, Workspace,
+};
 use sws_model::{graph_to_schema, schema_to_graph, LowerError, SchemaGraph};
 use sws_odl::{parse_schema, print_schema, OdlError};
 
@@ -319,6 +321,12 @@ impl Repository {
         &self.aliases
     }
 
+    /// Swap in a whole local-name table, returning the previous one (how
+    /// undo and redo of an alias edit restore a table).
+    pub fn replace_aliases(&mut self, table: AliasTable) -> AliasTable {
+        std::mem::replace(&mut self.aliases, table)
+    }
+
     /// Register a local name for a type.
     pub fn set_type_alias(&mut self, canonical: &str, local: &str) -> Result<(), RepoError> {
         let schema = graph_to_schema(self.workspace.working());
@@ -378,6 +386,19 @@ impl Repository {
     /// Sequence number the durable op-log tail starts at.
     pub fn tail_start(&self) -> u64 {
         self.checkpoint.tail_start().max(self.base_seq)
+    }
+
+    /// Take back the last in-memory op through the workspace's undo
+    /// journal (see [`Workspace::undo_last`]). Checkpoint snapshots that
+    /// cover more ops than remain are dropped — the same rule
+    /// [`Self::save_with`] applies on disk — so [`Self::tail_start`] never
+    /// passes [`Self::total_ops`]. The checkpoint generation stays
+    /// monotonic.
+    pub fn undo_last(&mut self) -> Option<AppliedOp> {
+        let record = self.workspace.undo_last()?;
+        let total = self.total_ops();
+        self.checkpoint.snapshots.retain(|s| s.ops <= total);
+        Some(record)
     }
 
     /// Run the consistency checks on the custom schema (served by the
