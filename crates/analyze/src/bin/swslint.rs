@@ -8,7 +8,9 @@
 //!   proptest-shim crates). `.expect("message")` is allowed everywhere.
 //! - **trace-names**: every `span!("…")` / `span("…")` / `counter("…")`
 //!   name must appear in the `docs/observability.md` table (rows ending in
-//!   `*` are prefix wildcards).
+//!   `*` are prefix wildcards), and every dotted name the table documents
+//!   must be emitted by some non-test source (wildcard rows and prose
+//!   cells such as `swsd --trace` are skipped).
 //! - **string-keys**: no `…Map<String, …>` in `sws-model`/`sws-core` —
 //!   schema names must cross as interned `Symbol`s. A deliberate exception
 //!   carries a `// swslint: allow(string-keys): reason` comment.
@@ -25,6 +27,7 @@
 //!
 //! Exit codes: 0 clean, 8 findings, 5 I/O error.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -59,8 +62,8 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(EXIT_IO);
     }
-    let trace_names = match load_trace_table(&root.join("docs/observability.md")) {
-        Ok(t) => t,
+    let trace_table = match fs::read_to_string(root.join("docs/observability.md")) {
+        Ok(doc) => parse_trace_table(&doc),
         Err(e) => {
             eprintln!("swslint: cannot read docs/observability.md: {e}");
             return ExitCode::from(EXIT_IO);
@@ -73,6 +76,8 @@ fn main() -> ExitCode {
     collect_rs(&root.join("tests"), &mut files);
     files.sort();
 
+    let trace_names: Vec<String> = trace_table.iter().map(|(n, _)| n.clone()).collect();
+    let mut emitted = BTreeSet::new();
     let mut lints = Vec::new();
     for path in &files {
         let src = match fs::read_to_string(path) {
@@ -87,8 +92,9 @@ fn main() -> ExitCode {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        check_file(&rel, &src, &trace_names, &mut lints);
+        check_file(&rel, &src, &trace_names, &mut emitted, &mut lints);
     }
+    check_documented_names_emitted(&trace_table, &emitted, &mut lints);
     check_forbid_unsafe(&root, &mut lints);
 
     if lints.is_empty() {
@@ -133,7 +139,15 @@ fn is_test_path(rel: &str) -> bool {
         || rel.starts_with("crates/proptest-shim/")
 }
 
-fn check_file(rel: &str, src: &str, trace_names: &[String], lints: &mut Vec<Lint>) {
+/// Run the per-file rules on `src`, and add every trace name it emits
+/// outside test code to `emitted`.
+fn check_file(
+    rel: &str,
+    src: &str,
+    trace_names: &[String],
+    emitted: &mut BTreeSet<String>,
+    lints: &mut Vec<Lint>,
+) {
     let m = mask(src);
     let line_of = |off: usize| {
         src.as_bytes()[..off]
@@ -173,6 +187,7 @@ fn check_file(rel: &str, src: &str, trace_names: &[String], lints: &mut Vec<Lint
             if !is_trace_name_site(&m.code, off) || in_ranges(&m.test_ranges, off) {
                 continue;
             }
+            emitted.insert(s.clone());
             let known = trace_names.iter().any(|t| {
                 t.strip_suffix('*')
                     .map_or(t == s, |prefix| s.starts_with(prefix))
@@ -310,13 +325,35 @@ fn in_ranges(ranges: &[(usize, usize)], off: usize) -> bool {
     ranges.iter().any(|&(s, e)| off >= s && off < e)
 }
 
+/// The reverse trace-names rule: a dotted name documented in the table
+/// that no non-test source emits is stale. Wildcard rows (`serve.*`) and
+/// prose cells (`swsd --trace`) are not names and are skipped.
+fn check_documented_names_emitted(
+    table: &[(String, usize)],
+    emitted: &BTreeSet<String>,
+    lints: &mut Vec<Lint>,
+) {
+    for (name, line) in table {
+        let is_name =
+            name.contains('.') && !name.ends_with('*') && !name.contains(char::is_whitespace);
+        if is_name && !emitted.contains(name) {
+            lints.push(Lint {
+                file: "docs/observability.md".into(),
+                line: *line,
+                rule: "trace-names",
+                message: format!("documented trace name `{name}` is emitted by no non-test source"),
+            });
+        }
+    }
+}
+
 /// Read the `docs/observability.md` tables: every backticked token in the
 /// first cell of a table row is a documented span/counter name (a cell may
 /// document several, e.g. `` `ws.ops_applied`, `ws.ops_rejected` ``).
-fn load_trace_table(path: &Path) -> Result<Vec<String>, std::io::Error> {
-    let doc = fs::read_to_string(path)?;
+/// Returns `(name, 1-based doc line)` pairs.
+fn parse_trace_table(doc: &str) -> Vec<(String, usize)> {
     let mut names = Vec::new();
-    for line in doc.lines() {
+    for (n, line) in doc.lines().enumerate() {
         let line = line.trim();
         if !line.starts_with('|') {
             continue;
@@ -329,11 +366,11 @@ fn load_trace_table(path: &Path) -> Result<Vec<String>, std::io::Error> {
             let Some(len) = rest[open + 1..].find('`') else {
                 break;
             };
-            names.push(rest[open + 1..open + 1 + len].to_string());
+            names.push((rest[open + 1..open + 1 + len].to_string(), n + 1));
             rest = &rest[open + len + 2..];
         }
     }
-    Ok(names)
+    names
 }
 
 /// Blank out comments and string/char literal bodies, preserving offsets,
@@ -513,4 +550,65 @@ fn find_test_ranges(code: &[u8]) -> Vec<(usize, usize)> {
         ranges.push((start, end));
     }
     ranges
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn documented_names_nothing_emits_are_flagged() {
+        let doc = "\
+| Name | Kind |
+|---|---|
+| `core.consistency` | span |
+| `core.consistency.check` | span |
+| `ws.ops_applied`, `ws.ops_rejected` | counter |
+| `serve.*` | counter |
+| full recorder (`swsd --trace`) | 2.0x |
+";
+        let table = parse_trace_table(doc);
+        assert!(table.contains(&("ws.ops_rejected".to_string(), 5)));
+        let emitted: BTreeSet<String> = ["core.consistency", "ws.ops_applied"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let mut lints = Vec::new();
+        check_documented_names_emitted(&table, &emitted, &mut lints);
+        let flagged: Vec<(usize, &str)> =
+            lints.iter().map(|l| (l.line, l.message.as_str())).collect();
+        assert_eq!(
+            flagged,
+            vec![
+                (
+                    4,
+                    "documented trace name `core.consistency.check` is emitted by no non-test source"
+                ),
+                (
+                    5,
+                    "documented trace name `ws.ops_rejected` is emitted by no non-test source"
+                ),
+            ]
+        );
+        assert!(lints
+            .iter()
+            .all(|l| l.rule == "trace-names" && l.file == "docs/observability.md"));
+    }
+
+    #[test]
+    fn emitted_names_are_collected_outside_test_code() {
+        let src = "fn f() { sws_trace::counter(\"a.live\", 1); }\n\
+                   #[cfg(test)]\nmod tests { fn g() { sws_trace::counter(\"a.test_only\", 1); } }\n";
+        let mut emitted = BTreeSet::new();
+        let mut lints = Vec::new();
+        check_file(
+            "crates/core/src/x.rs",
+            src,
+            &["a.live".to_string()],
+            &mut emitted,
+            &mut lints,
+        );
+        assert!(lints.is_empty());
+        assert_eq!(emitted.into_iter().collect::<Vec<_>>(), vec!["a.live"]);
+    }
 }

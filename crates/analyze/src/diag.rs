@@ -28,6 +28,7 @@
 
 use std::fmt;
 use sws_core::{ConstraintCategory, ConstraintViolation, OpError};
+use sws_repository::checksum::checksum;
 use sws_trace::export::escape_json;
 
 /// Report format version, bumped on any key change.
@@ -116,9 +117,8 @@ impl LintReport {
 
     /// Render the report as exactly one JSON line with pinned key order:
     /// `schema_version`, `ops`, `stopped_at`, `clean`, `findings`,
-    /// `commuting_pairs`, `checksum`. The checksum (SplitMix64, same
-    /// algorithm as the repository's content checksums) covers every byte
-    /// before its own key.
+    /// `commuting_pairs`, `checksum`. The checksum (the repository's
+    /// SplitMix64 content checksum) covers every byte before its own key.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + self.findings.len() * 96);
         out.push_str(&format!("{{\"schema_version\":{SCHEMA_VERSION}"));
@@ -233,28 +233,6 @@ pub fn code_for(v: &ConstraintViolation, deleted_earlier: bool) -> &'static str 
             ConstraintCategory::Referential => "A010",
         },
     }
-}
-
-/// SplitMix64 streaming checksum — the same construction as
-/// `sws_repository::checksum`, restated here so the analysis crate stays
-/// free of the I/O layer (a designer test pins the two implementations
-/// together).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x5357_5352_4550_4f31;
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut state = SEED;
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        state = mix(state
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from_le_bytes(word)));
-    }
-    mix(state ^ bytes.len() as u64)
 }
 
 #[cfg(test)]

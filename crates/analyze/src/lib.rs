@@ -4,7 +4,7 @@
 //! **running the real executor** and taking every change back: it opens
 //! one undo journal on a [`SchemaGraph`], and for each operation runs the
 //! executor's permission matrix, its precondition checker
-//! (`sws_core::check_preconditions_view`) and its `apply_op`, then rolls
+//! (`sws_core::check_preconditions`) and its `apply_op`, then rolls
 //! the journal back — at the end of the script and when unwinding alike.
 //! There is no second model of an operation's effect to drift from the
 //! executor's: the first error the analyzer predicts is the first error
@@ -35,10 +35,8 @@ pub mod diag;
 
 use std::collections::{HashMap, HashSet};
 use sws_core::ops::apply::apply_op;
-use sws_core::{
-    check_preconditions_view, print_op, ConceptKind, ConstraintViolation, ModOp, OpError,
-};
-use sws_model::{QueryCache, SchemaGraph};
+use sws_core::{check_preconditions, print_op, ConceptKind, ConstraintViolation, ModOp, OpError};
+use sws_model::SchemaGraph;
 use sws_odl::OdlError;
 
 pub use commute::{commutes, footprint, Footprint};
@@ -69,7 +67,6 @@ pub fn analyze_ops_in(
     let mut sp = sws_trace::span!("core.analyze", ops = script.len());
     sws_trace::counter("core.analyze.scripts", 1);
     let matrix = sws_core::ops::PermissionMatrix::new();
-    let qc_shrink = QueryCache::new();
     let journal = Journal::open(graph);
     let mut report = LintReport {
         ops: script.len(),
@@ -106,7 +103,7 @@ pub fn analyze_ops_in(
             });
             break;
         }
-        let violations = check_preconditions_view(op, &*journal.0, shrink_wrap, &qc_shrink);
+        let violations = check_preconditions(op, &*journal.0, shrink_wrap);
         if !violations.is_empty() {
             for v in &violations {
                 let deleted_earlier = match v {

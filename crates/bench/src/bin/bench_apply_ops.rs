@@ -60,7 +60,7 @@ fn main() {
         );
     }
 
-    // Size sweep: full apply pipeline (cached preconditions, mutation, undo
+    // Size sweep: full apply pipeline (preconditions, mutation, undo
     // journaling, dirty-set recording) for one edit against growing
     // synthetic schemas.
     for (n, g) in synthetic::size_sweep(42) {

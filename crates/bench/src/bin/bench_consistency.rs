@@ -5,8 +5,8 @@
 //! 100 000 types, override with `SWS_BENCH_SIZES`):
 //!
 //! * `full/N` — `check_consistency` from scratch over the whole schema
-//!   (timed only up to 5 000 types; the two large sizes exist to show the
-//!   incremental path stays flat where a full recheck would not);
+//!   (timed only up to 5 000 types; the two large sizes exist to time the
+//!   incremental path where a full recheck would dominate the run);
 //! * `incremental/N` — `Workspace::consistency()` after one edit, against a
 //!   pre-synced consistency state (the setup applies the edit untimed, so
 //!   the measured region is exactly the dirty-set sync + report assembly).

@@ -5,9 +5,10 @@
 //! iteration count, the host's available parallelism, the size/thread
 //! sweeps it covered, and one `{name, p50_ns, p90_ns}` row per measured
 //! routine. The JSON is hand-written (this workspace has no serde) with a
-//! pinned key order, and [`BenchReport::parse`] reads it back with a
-//! minimal recursive-descent parser — enough for baselines committed
-//! under `benches/baselines/` to round-trip.
+//! pinned key order, and [`BenchReport::parse`] reads it back with the
+//! designer protocol's [`Json`] parser (reports hold only strings and
+//! non-negative integers, which is exactly what that grammar accepts) —
+//! enough for baselines committed under `benches/baselines/` to round-trip.
 //!
 //! [`compare`] diffs a fresh report against a baseline with a per-metric
 //! relative tolerance: a metric regresses when `fresh > baseline × (1 +
@@ -16,6 +17,7 @@
 //! routine must not pass the guard).
 
 use crate::timing::Runner;
+use sws_designer::protocol::Json;
 
 /// Version of the `BENCH_*.json` schema.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -124,7 +126,7 @@ impl BenchReport {
     /// Parse a report produced by [`BenchReport::to_json`] (tolerates any
     /// key order and extra whitespace; rejects unknown schema versions).
     pub fn parse(json: &str) -> Result<BenchReport, String> {
-        let value = json::parse(json)?;
+        let value = Json::parse(json)?;
         let obj = value.as_object().ok_or("report is not a JSON object")?;
         let version = get_u64(obj, "schema_version")?;
         if version != SCHEMA_VERSION {
@@ -184,19 +186,19 @@ fn escape(s: &str) -> String {
     sws_trace::export::escape_json(s)
 }
 
-fn find<'a>(obj: &'a [(String, json::Value)], key: &str) -> Option<&'a json::Value> {
+fn find<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn get_u64(obj: &[(String, json::Value)], key: &str) -> Result<u64, String> {
+fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
     find(obj, key)
-        .and_then(json::Value::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing or non-integer `{key}`"))
 }
 
-fn get_str(obj: &[(String, json::Value)], key: &str) -> Result<String, String> {
+fn get_str(obj: &[(String, Json)], key: &str) -> Result<String, String> {
     find(obj, key)
-        .and_then(json::Value::as_str)
+        .and_then(Json::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("missing or non-string `{key}`"))
 }
@@ -320,220 +322,6 @@ pub fn compare(baseline: &BenchReport, fresh: &BenchReport, tolerance: f64) -> C
         rows,
         tolerance,
         unbaselined,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (reports only; no serde in this workspace)
-// ---------------------------------------------------------------------
-
-mod json {
-    /// Just enough of a JSON value tree to read a [`super::BenchReport`].
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(f64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(xs) => Some(xs),
-                _ => None,
-            }
-        }
-
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(pairs) => Some(pairs),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parse one complete JSON value (surrounding whitespace allowed).
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0usize;
-        skip_ws(b, &mut pos);
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') => literal(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => literal(b, pos, "null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-            Some(c) => Err(format!("unexpected `{}` at byte {pos}", *c as char)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {pos}"))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at byte {pos}"));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            *pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape `\\{}`", esc as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    let len = utf8_len(c);
-                    let end = *pos - 1 + len;
-                    let chunk = b.get(*pos - 1..end).ok_or("truncated UTF-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    *pos = end;
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn utf8_len(first: u8) -> usize {
-        match first {
-            0x00..=0x7f => 1,
-            0xc0..=0xdf => 2,
-            0xe0..=0xef => 3,
-            _ => 4,
-        }
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // [
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // {
-        let mut pairs = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected `:` at byte {pos}"));
-            }
-            *pos += 1;
-            pairs.push((key, value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-            }
-        }
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::ops::ModOp;
 use std::fmt;
-use sws_model::{CachedView, QueryCache, SchemaGraph, SchemaView, Symbol, TypeId};
+use sws_model::{query, SchemaGraph, Symbol, TypeId};
 use sws_odl::{DomainType, HierKind, Key};
 
 /// Render an order-by list of interned symbols for a violation message.
@@ -238,66 +238,30 @@ impl fmt::Display for ConstraintViolation {
 /// Check every precondition of `op` against `working`, using `shrink_wrap`
 /// for the semantic-stability reference hierarchy. Returns all violations
 /// (empty = the operation may be applied).
+///
+/// This is the one checker: the executor calls it before every apply and
+/// `sws-analyze` calls it on its journaled graph, so the static analyzer
+/// runs the *same* checks the apply pipeline does.
 pub fn check_preconditions(
     op: &ModOp,
     working: &SchemaGraph,
     shrink_wrap: &SchemaGraph,
 ) -> Vec<ConstraintViolation> {
-    let qc = QueryCache::new();
-    let qc_sw = QueryCache::new();
-    check_preconditions_cached(op, working, shrink_wrap, &qc, &qc_sw)
-}
-
-/// As [`check_preconditions`], but answering hierarchy traversals from the
-/// caller's [`QueryCache`]s (one paired with `working`, one with
-/// `shrink_wrap`). `Workspace` threads its long-lived caches through here so
-/// repeated checks against an unchanged schema skip the graph walks.
-pub fn check_preconditions_cached(
-    op: &ModOp,
-    working: &SchemaGraph,
-    shrink_wrap: &SchemaGraph,
-    qc_working: &QueryCache,
-    qc_shrink: &QueryCache,
-) -> Vec<ConstraintViolation> {
-    let view = CachedView {
-        g: working,
-        qc: qc_working,
-    };
-    check_preconditions_view(op, &view, shrink_wrap, qc_shrink)
-}
-
-/// The generic core of the checker: every precondition of `op` judged
-/// against an arbitrary [`SchemaView`] of the working state. The executor
-/// calls it through [`check_preconditions_cached`] with a
-/// [`CachedView`]; `sws-analyze` calls it with its abstract overlay state,
-/// so the static analyzer runs the *same* checks the apply pipeline does —
-/// soundness by construction, not by reimplementation.
-///
-/// The shrink-wrap side stays concrete: it is immutable during both real
-/// application and analysis, so it never needs the abstraction.
-pub fn check_preconditions_view<V: SchemaView>(
-    op: &ModOp,
-    working: &V,
-    shrink_wrap: &SchemaGraph,
-    qc_shrink: &QueryCache,
-) -> Vec<ConstraintViolation> {
     let mut v = Vec::new();
     let ctx = Ctx {
         g: working,
         sw: shrink_wrap,
-        qc_sw: qc_shrink,
     };
     ctx.check(op, &mut v);
     v
 }
 
-struct Ctx<'a, V: SchemaView> {
-    g: &'a V,
+struct Ctx<'a> {
+    g: &'a SchemaGraph,
     sw: &'a SchemaGraph,
-    qc_sw: &'a QueryCache,
 }
 
-impl<'a, V: SchemaView> Ctx<'a, V> {
+impl Ctx<'_> {
     fn require(&self, name: &str, v: &mut Vec<ConstraintViolation>) -> Option<TypeId> {
         match self.g.type_id(name) {
             Some(id) => Some(id),
@@ -317,9 +281,9 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
             return;
         }
         let ok = match (self.sw.type_id(from), self.sw.type_id(to)) {
-            (Some(a), Some(b)) => self.qc_sw.on_same_generalization_path(self.sw, a, b),
+            (Some(a), Some(b)) => query::on_same_generalization_path(self.sw, a, b),
             _ => match (self.g.type_id(from), self.g.type_id(to)) {
-                (Some(a), Some(b)) => self.g.on_same_generalization_path(a, b),
+                (Some(a), Some(b)) => query::on_same_generalization_path(self.g, a, b),
                 _ => return, // unknown types reported elsewhere
             },
         };
@@ -351,7 +315,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
         }
         // Ancestors: operations may override operations; nothing else may
         // shadow anything.
-        for &anc in self.g.ancestors(ty).iter() {
+        for anc in query::ancestors(self.g, ty) {
             if let Some(their_op) = member_is_op(self.g, anc, name) {
                 if !(is_op && their_op) {
                     v.push(ConstraintViolation::InheritedConflict {
@@ -365,7 +329,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
         }
         // Descendants: a new non-operation member must not be shadowed by /
         // shadow existing descendant members.
-        for &desc in self.g.descendants(ty).iter() {
+        for desc in query::descendants(self.g, ty) {
             if let Some(their_op) = member_is_op(self.g, desc, name) {
                 if !(is_op && their_op) {
                     v.push(ConstraintViolation::InheritedConflict {
@@ -382,9 +346,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
     fn check_attrs_visible(&self, ty: TypeId, attrs: &[String], v: &mut Vec<ConstraintViolation>) {
         for attr in attrs {
             let visible = self.g.find_attr(ty, attr).is_some()
-                || self
-                    .g
-                    .ancestors(ty)
+                || query::ancestors(self.g, ty)
                     .iter()
                     .any(|&anc| self.g.find_attr(anc, attr).is_some());
             if !visible {
@@ -443,7 +405,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
                         sup: supertype.clone(),
                     });
                 }
-                if self.g.is_ancestor(sub, sup) {
+                if query::is_ancestor(self.g, sub, sup) {
                     v.push(ConstraintViolation::GeneralizationCycle {
                         sub: ty.clone(),
                         sup: supertype.clone(),
@@ -496,11 +458,11 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
                         continue;
                     }
                     // A cycle through an edge not being removed.
-                    if self.g.is_ancestor(sub, sup)
+                    if query::is_ancestor(self.g, sub, sup)
                         && !old.iter().any(|o| {
                             self.g
                                 .type_id(o)
-                                .map(|oid| self.g.is_ancestor(oid, sup) || oid == sup)
+                                .map(|oid| query::is_ancestor(self.g, oid, sup) || oid == sup)
                                 .unwrap_or(false)
                         })
                     {
@@ -523,7 +485,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
                 }
                 if self
                     .g
-                    .types_iter()
+                    .types()
                     .any(|(_, n)| n.extent.as_deref() == Some(extent))
                 {
                     v.push(ConstraintViolation::ExtentInUse(extent.clone()));
@@ -556,7 +518,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
                     }),
                     _ => {}
                 }
-                if self.g.types_iter().any(|(other, n)| {
+                if self.g.types().any(|(other, n)| {
                     Some(other) != self.g.type_id(ty) && n.extent.as_deref() == Some(new)
                 }) {
                     v.push(ConstraintViolation::ExtentInUse(new.clone()));
@@ -1043,8 +1005,8 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
             });
             return;
         }
-        let ancs = self.g.ancestors(to);
-        let descs = self.g.descendants(to);
+        let ancs = query::ancestors(self.g, to);
+        let descs = query::descendants(self.g, to);
         for &related in ancs.iter().chain(descs.iter()) {
             if related == from {
                 continue;
@@ -1071,9 +1033,9 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
         sup: TypeId,
         v: &mut Vec<ConstraintViolation>,
     ) {
-        let sup_members = self.g.visible_members(sup);
+        let sup_members = query::visible_members(self.g, sup);
         let mut subtree = vec![sub];
-        subtree.extend(self.g.descendants(sub).iter().copied());
+        subtree.extend(query::descendants(self.g, sub));
         for t in subtree {
             for (name, _) in own_members(self.g, t) {
                 if let Some((_, def)) = sup_members.iter().find(|(n, _)| *n == name) {
@@ -1293,7 +1255,7 @@ impl<'a, V: SchemaView> Ctx<'a, V> {
 }
 
 /// Does `t` define a member named `name`? Returns `Some(is_operation)`.
-fn member_is_op<V: SchemaView>(g: &V, t: TypeId, name: &str) -> Option<bool> {
+fn member_is_op(g: &SchemaGraph, t: TypeId, name: &str) -> Option<bool> {
     if g.find_op(t, name).is_some() {
         return Some(true);
     }
@@ -1308,7 +1270,7 @@ fn member_is_op<V: SchemaView>(g: &V, t: TypeId, name: &str) -> Option<bool> {
 }
 
 /// The member names `t` itself defines, with an is-operation flag.
-fn own_members<V: SchemaView>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> {
+fn own_members(g: &SchemaGraph, t: TypeId) -> Vec<(Symbol, bool)> {
     let node = g.ty(t);
     let mut out = Vec::new();
     for &a in &node.attrs {
@@ -1330,7 +1292,7 @@ fn own_members<V: SchemaView>(g: &V, t: TypeId) -> Vec<(Symbol, bool)> {
 }
 
 /// Is `above` an ancestor of (or equal to) `start` in the `kind` hierarchy?
-fn hier_is_ancestor<V: SchemaView>(g: &V, kind: HierKind, above: TypeId, start: TypeId) -> bool {
+fn hier_is_ancestor(g: &SchemaGraph, kind: HierKind, above: TypeId, start: TypeId) -> bool {
     if above == start {
         return true;
     }
@@ -1340,7 +1302,7 @@ fn hier_is_ancestor<V: SchemaView>(g: &V, kind: HierKind, above: TypeId, start: 
         if !seen.insert(t) {
             continue;
         }
-        for (_, p) in g.hier_parents(kind, t) {
+        for (_, p) in query::hier_parents(g, kind, t) {
             if p == above {
                 return true;
             }
@@ -1351,8 +1313,8 @@ fn hier_is_ancestor<V: SchemaView>(g: &V, kind: HierKind, above: TypeId, start: 
 }
 
 /// As [`hier_is_ancestor`], ignoring one link.
-fn hier_is_ancestor_excluding<V: SchemaView>(
-    g: &V,
+fn hier_is_ancestor_excluding(
+    g: &SchemaGraph,
     kind: HierKind,
     skip: sws_model::LinkId,
     above: TypeId,
@@ -1367,7 +1329,7 @@ fn hier_is_ancestor_excluding<V: SchemaView>(
         if !seen.insert(t) {
             continue;
         }
-        for (l, p) in g.hier_parents(kind, t) {
+        for (l, p) in query::hier_parents(g, kind, t) {
             if l == skip {
                 continue;
             }

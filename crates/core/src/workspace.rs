@@ -13,11 +13,8 @@
 //! Applying an operation runs the pipeline: permission check (Table 1) →
 //! precondition constraints → mutation + propagation → cautionary feedback.
 //!
-//! Three incremental structures ride along (see `docs/performance.md`):
+//! Two incremental structures ride along (see `docs/performance.md`):
 //!
-//! * two [`QueryCache`]s memoize hierarchy traversals — one paired with the
-//!   working schema (invalidated by its generation counter), one with the
-//!   immutable shrink wrap schema (never invalidated);
 //! * an **undo log** of [`UndoPatch`]es, one per applied operation, so
 //!   rejection cleanup, [`Workspace::undo_last`] and [`Workspace::reset`]
 //!   replay inverse images instead of cloning the whole graph;
@@ -30,13 +27,13 @@
 
 use crate::concept::{decompose, ConceptKind, Decomposition};
 use crate::consistency::{ConsistencyReport, ConsistencyState};
-use crate::constraints::check_preconditions_cached;
+use crate::constraints::check_preconditions;
 use crate::feedback::{cautionary, Feedback};
 use crate::impact::{DirtySet, ImpactReport};
 use crate::ops::apply::apply_op;
 use crate::ops::{ModOp, OpError, PermissionMatrix};
 use std::cell::RefCell;
-use sws_model::{QueryCache, SchemaGraph, UndoPatch};
+use sws_model::{SchemaGraph, UndoPatch};
 
 /// One log record: an operation that was applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,11 +55,6 @@ pub struct Workspace {
     /// One undo patch per log entry, in application order.
     undo: Vec<UndoPatch>,
     matrix: PermissionMatrix,
-    /// Memoized traversals over `working` (generation-invalidated).
-    qc_working: QueryCache,
-    /// Memoized traversals over `shrink_wrap` (it never mutates, so this
-    /// cache never invalidates).
-    qc_shrink: QueryCache,
     /// True when the working schema was seeded from a checkpoint snapshot
     /// instead of replaying ops from the shrink wrap — the log then only
     /// covers the tail, so undo cannot reach back to the shrink wrap.
@@ -96,8 +88,6 @@ impl Workspace {
             log: Vec::new(),
             undo: Vec::new(),
             matrix: PermissionMatrix::new(),
-            qc_working: QueryCache::new(),
-            qc_shrink: QueryCache::new(),
             state: RefCell::new(ConsistencyState::new()),
             resumed,
         }
@@ -146,13 +136,7 @@ impl Workspace {
         }
         let violations = {
             let mut pre = sws_trace::span("core.preconditions");
-            let violations = check_preconditions_cached(
-                &op,
-                &self.working,
-                &self.shrink_wrap,
-                &self.qc_working,
-                &self.qc_shrink,
-            );
+            let violations = check_preconditions(&op, &self.working, &self.shrink_wrap);
             pre.record("violations", violations.len());
             violations
         };
@@ -271,11 +255,6 @@ impl Workspace {
     pub fn full_recheck(&self) -> ConsistencyReport {
         self.state.borrow_mut().invalidate();
         self.consistency()
-    }
-
-    /// The query cache paired with the working schema.
-    pub fn query_cache(&self) -> &QueryCache {
-        &self.qc_working
     }
 
     /// Take back the last applied operation: pop its log record and revert

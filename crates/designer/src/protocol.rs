@@ -285,12 +285,10 @@ fn get_ops(obj: &[(String, Json)]) -> Result<Vec<OpEnvelope>, String> {
 
 /// A minimal JSON value — just enough for the request grammar (objects,
 /// arrays, strings, non-negative integers, booleans, null; floats and
-/// negatives are rejected, the protocol never produces them). The bench
-/// crate has a sibling parser for `BENCH_*.json`; it cannot be shared
-/// (the dependency runs the other way), and neither wants a full JSON
-/// library for a five-field protocol. Public so protocol clients (the
-/// differential and crash test harnesses) can parse response lines with
-/// the same grammar the server parses requests with.
+/// negatives are rejected, the protocol never produces them). Public so
+/// protocol clients (the differential and crash test harnesses) can parse
+/// response lines with the same grammar the server parses requests with,
+/// and so `sws-bench` can read its `BENCH_*.json` reports with it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,

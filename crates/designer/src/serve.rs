@@ -12,16 +12,105 @@
 //!   honoured; status codes mirror the response type (see
 //!   [`http_status`]). This exists so `curl` works against a live daemon.
 //!
+//! Every frame — a JSONL line, an HTTP request or header line, an HTTP
+//! body — is capped at [`MAX_FRAME_BYTES`]. A frame over the cap is
+//! refused with `frame_too_large` (HTTP 413) and an unparsable
+//! `Content-Length` with `malformed_frame`; either way the connection is
+//! then closed, because the rest of its byte stream can no longer be
+//! framed. The cap is a constant, not an option.
+//!
 //! Shutdown: a `{"type":"shutdown"}` frame flips the service's shutdown
 //! flag; the handling acceptor then wakes its siblings out of `accept()`
 //! with short-lived local connections, and `serve` returns once every
 //! acceptor has drained its in-flight connection.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-use crate::protocol::respond;
+use crate::protocol::{render_response, respond};
 use crate::service::{DesignService, ErrorCode, Response};
+
+/// The largest frame the server reads: one JSONL line (newline included),
+/// one HTTP request or header line, or one HTTP body. 1 MiB is far above
+/// any request a client sends (a submit or lint batch is ~100 bytes per
+/// op); a larger frame is refused with `frame_too_large`.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How long a refused connection is drained before it is closed, so the
+/// client reads the refusal instead of a reset.
+const LINGER: Duration = Duration::from_millis(500);
+
+/// One bounded line read.
+enum Line {
+    /// End of stream before any byte.
+    Eof,
+    /// A line (or a final unterminated one) of at most [`MAX_FRAME_BYTES`].
+    Frame,
+    /// The line runs past [`MAX_FRAME_BYTES`]; the rest is left unread.
+    TooLarge,
+}
+
+/// Read one line into `buf` (cleared first), reading at most one byte past
+/// [`MAX_FRAME_BYTES`].
+fn read_frame_line(reader: &mut BufReader<TcpStream>, buf: &mut String) -> io::Result<Line> {
+    buf.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_FRAME_BYTES as u64 + 1)
+        .read_line(buf)?;
+    Ok(match n {
+        0 => Line::Eof,
+        n if n > MAX_FRAME_BYTES => Line::TooLarge,
+        _ => Line::Frame,
+    })
+}
+
+fn frame_too_large() -> Response {
+    Response::Error {
+        code: ErrorCode::FrameTooLarge,
+        message: format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
+    }
+}
+
+/// Answer a frame the server will not read with `refusal` (an HTTP
+/// response when `http`, else a JSONL line) and close the connection.
+fn refuse(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    refusal: &Response,
+    http: bool,
+) -> io::Result<bool> {
+    let rendered = render_response(refusal);
+    if http {
+        write_http(writer, refusal, &rendered, true, false)?;
+    } else {
+        write_jsonl(writer, &rendered)?;
+    }
+    linger_close(reader, writer);
+    Ok(false)
+}
+
+/// Close a connection whose remaining input cannot be framed: send FIN
+/// after the refusal already written, then discard input for at most
+/// [`LINGER`] and [`MAX_FRAME_BYTES`] so the close does not reset the
+/// client before it reads the refusal.
+fn linger_close(reader: &mut BufReader<TcpStream>, writer: &TcpStream) {
+    let _ = writer.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut budget = MAX_FRAME_BYTES;
+    let mut sink = [0u8; 8192];
+    while budget > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || writer.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match reader.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
+}
 
 /// Run the accept loop until a shutdown frame arrives. Blocks the calling
 /// thread; returns after all acceptors exit. `threads` is clamped to ≥ 1.
@@ -74,8 +163,13 @@ fn handle_conn(service: &DesignService, stream: TcpStream) -> io::Result<bool> {
     let mut writer = stream;
     let mut requests = 0u64;
     let mut first = String::new();
-    if reader.read_line(&mut first)? == 0 {
-        return Ok(false);
+    match read_frame_line(&mut reader, &mut first)? {
+        Line::Eof => return Ok(false),
+        Line::Frame => {}
+        Line::TooLarge => {
+            sp.record("mode", "refused");
+            return refuse(&mut reader, &mut writer, &frame_too_large(), false);
+        }
     }
     let http = is_http_request_line(&first);
     sp.record("mode", if http { "http" } else { "jsonl" });
@@ -112,19 +206,27 @@ fn serve_jsonl(
         if !frame.is_empty() {
             *requests += 1;
             let (response, rendered) = respond(service, frame);
-            writer.write_all(rendered.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            write_jsonl(writer, &rendered)?;
             service.maintain();
             if matches!(response, Response::Bye) {
                 return Ok(true);
             }
         }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(false);
+        match read_frame_line(reader, &mut line)? {
+            Line::Eof => return Ok(false),
+            Line::Frame => {}
+            Line::TooLarge => {
+                *requests += 1;
+                return refuse(reader, writer, &frame_too_large(), false);
+            }
         }
     }
+}
+
+fn write_jsonl(writer: &mut TcpStream, rendered: &str) -> io::Result<()> {
+    writer.write_all(rendered.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 // ---------------------------------------------------------------------
@@ -140,6 +242,7 @@ pub fn http_status(response: &Response) -> (u16, &'static str) {
             ErrorCode::UnknownSession => (404, "Not Found"),
             ErrorCode::DeltaHorizon => (409, "Conflict"),
             ErrorCode::MalformedFrame | ErrorCode::BadRequest => (400, "Bad Request"),
+            ErrorCode::FrameTooLarge => (413, "Payload Too Large"),
         },
         _ => (200, "OK"),
     }
@@ -153,18 +256,24 @@ fn serve_http(
     requests: &mut u64,
 ) -> io::Result<bool> {
     let mut request_line = first;
+    let mut header = String::new();
     loop {
         let mut parts = request_line.split_whitespace();
         let method = parts.next().unwrap_or("").to_string();
         let path = parts.next().unwrap_or("/").to_string();
 
-        // Headers.
-        let mut content_length = 0usize;
+        // Headers. A refusal here ends the connection: past a bad frame
+        // the byte stream cannot be framed again.
+        let mut content_length = Ok(0usize);
         let mut close = false;
         loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                return Ok(false);
+            match read_frame_line(reader, &mut header)? {
+                Line::Eof => return Ok(false),
+                Line::Frame => {}
+                Line::TooLarge => {
+                    content_length = Err(frame_too_large());
+                    break;
+                }
             }
             let header = header.trim();
             if header.is_empty() {
@@ -173,7 +282,14 @@ fn serve_http(
             if let Some((name, value)) = header.split_once(':') {
                 let value = value.trim();
                 if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.parse().unwrap_or(0);
+                    content_length = match value.parse::<usize>() {
+                        Ok(n) if n > MAX_FRAME_BYTES => Err(frame_too_large()),
+                        Ok(n) => Ok(n),
+                        Err(_) => Err(Response::Error {
+                            code: ErrorCode::MalformedFrame,
+                            message: format!("unparsable content-length `{value}`"),
+                        }),
+                    };
                 } else if name.eq_ignore_ascii_case("connection")
                     && value.eq_ignore_ascii_case("close")
                 {
@@ -181,10 +297,14 @@ fn serve_http(
                 }
             }
         }
+        *requests += 1;
+        let content_length = match content_length {
+            Ok(n) => n,
+            Err(refusal) => return refuse(reader, writer, &refusal, true),
+        };
         let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
 
-        *requests += 1;
         let frame = match method.as_str() {
             "POST" => String::from_utf8_lossy(&body).into_owned(),
             "GET" | "HEAD" if path == "/ping" || path == "/" => "{\"type\":\"ping\"}".to_string(),
@@ -195,24 +315,12 @@ fn serve_http(
                 code: ErrorCode::BadRequest,
                 message: format!("no route for {method} {path}"),
             };
-            let rendered = crate::protocol::render_response(&response);
+            let rendered = render_response(&response);
             (response, rendered)
         } else {
             respond(service, frame.trim())
         };
-
-        let (status, reason) = http_status(&response);
-        write!(
-            writer,
-            "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: {}\r\n\r\n",
-            rendered.len(),
-            if close { "close" } else { "keep-alive" },
-        )?;
-        if method != "HEAD" {
-            writer.write_all(rendered.as_bytes())?;
-        }
-        writer.flush()?;
+        write_http(writer, &response, &rendered, close, method == "HEAD")?;
         service.maintain();
         if matches!(response, Response::Bye) {
             return Ok(true);
@@ -220,9 +328,31 @@ fn serve_http(
         if close {
             return Ok(false);
         }
-        request_line.clear();
-        if reader.read_line(&mut request_line)? == 0 {
-            return Ok(false);
+        match read_frame_line(reader, &mut request_line)? {
+            Line::Eof => return Ok(false),
+            Line::Frame => {}
+            Line::TooLarge => return refuse(reader, writer, &frame_too_large(), true),
         }
     }
+}
+
+fn write_http(
+    writer: &mut TcpStream,
+    response: &Response,
+    rendered: &str,
+    close: bool,
+    head: bool,
+) -> io::Result<()> {
+    let (status, reason) = http_status(response);
+    write!(
+        writer,
+        "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\n\
+         content-length: {}\r\nconnection: {}\r\n\r\n",
+        rendered.len(),
+        if close { "close" } else { "keep-alive" },
+    )?;
+    if !head {
+        writer.write_all(rendered.as_bytes())?;
+    }
+    writer.flush()
 }

@@ -97,6 +97,9 @@ pub enum ErrorCode {
     /// `base_rev` predates what this server still holds a delta for; the
     /// client must re-open and resync.
     DeltaHorizon,
+    /// A frame ran past the server's size cap (`serve::MAX_FRAME_BYTES`);
+    /// the connection is closed after this refusal.
+    FrameTooLarge,
 }
 
 impl ErrorCode {
@@ -106,6 +109,7 @@ impl ErrorCode {
             ErrorCode::UnknownSession => "unknown_session",
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::DeltaHorizon => "delta_horizon",
+            ErrorCode::FrameTooLarge => "frame_too_large",
         }
     }
 }

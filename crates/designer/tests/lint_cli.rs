@@ -1,7 +1,5 @@
 //! End-to-end tests of `swsd ... lint`: the batch subcommand, the JSON
-//! emitter, exit code 8, and the REPL `lint` command. Also pins the
-//! analyzer's locally-restated SplitMix64 checksum to the repository's —
-//! the two crates must never drift apart.
+//! emitter, exit code 8, and the REPL `lint` command.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -172,20 +170,4 @@ quit
     assert!(stdout.contains("[W102]"), "{stdout}");
     // Nothing was applied: salary never appears in the rendered ODL.
     assert!(!stdout.contains("salary;"), "{stdout}");
-}
-
-#[test]
-fn analyzer_checksum_matches_repository_checksum() {
-    for sample in [
-        &b""[..],
-        b"x",
-        b"{\"schema_version\":1}",
-        b"0123456789abcdef0123456789abcdef",
-    ] {
-        assert_eq!(
-            sws_analyze::diag::checksum(sample),
-            sws_repository::checksum::checksum(sample),
-            "SplitMix64 restatement drifted from sws_repository::checksum"
-        );
-    }
 }

@@ -2,7 +2,7 @@
 //! bind failures, refusal to serve damaged directories, and a clean
 //! TCP-driven shutdown that flushes autosave state to disk.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -212,4 +212,104 @@ fn clean_shutdown_flushes_autosave_and_exits_0() {
         "tail flushed: {has_tail}; reloaded odl:\n{stdout}"
     );
     std::fs::remove_dir_all(&session_dir).unwrap();
+}
+
+/// Send `bytes` on a fresh connection and read everything the server
+/// answers until it closes the connection.
+fn send_and_read_to_close(addr: SocketAddr, bytes: Vec<u8>) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    // The server stops reading at its cap, so write from another thread
+    // and ignore a write cut short by the close.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&bytes);
+    });
+    let mut answer = String::new();
+    stream
+        .read_to_string(&mut answer)
+        .expect("read until close");
+    sender.join().expect("sender thread");
+    answer
+}
+
+/// A spawned server, killed on drop so a failing test leaves no daemon.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A fresh connection still gets a ping answered, then the server shuts
+/// down cleanly.
+fn assert_alive_then_shut_down(mut server: Server, addr: SocketAddr) {
+    let mut stream = TcpStream::connect(addr).expect("server still accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let pong = rpc(&mut stream, &mut reader, "{\"type\":\"ping\"}");
+    assert!(pong.contains("\"type\":\"pong\""), "{pong}");
+    let bye = rpc(&mut stream, &mut reader, "{\"type\":\"shutdown\"}");
+    assert!(bye.contains("\"type\":\"bye\""), "{bye}");
+    let status = server.0.wait().expect("server exits");
+    assert_eq!(status.code(), Some(0), "clean shutdown exits 0");
+}
+
+fn spawn_schema_server(tag: &str) -> (Server, SocketAddr) {
+    let schema = schema_file(tag);
+    let (child, _stdout, addr) = spawn_serve(&[
+        "--schema",
+        schema.to_str().unwrap(),
+        "--addr=127.0.0.1:0",
+        "serve",
+    ]);
+    (Server(child), addr)
+}
+
+#[test]
+fn giant_content_length_is_refused_and_the_server_lives() {
+    let (server, addr) = spawn_schema_server("giant");
+    let answer = send_and_read_to_close(
+        addr,
+        b"POST / HTTP/1.1\r\nContent-Length: 99999999999999\r\n\r\n".to_vec(),
+    );
+    assert!(answer.starts_with("HTTP/1.1 413 "), "{answer}");
+    assert!(answer.contains("\"code\":\"frame_too_large\""), "{answer}");
+    assert!(answer.contains("connection: close"), "{answer}");
+    assert_alive_then_shut_down(server, addr);
+}
+
+#[test]
+fn unparsable_content_length_is_a_malformed_frame() {
+    let (server, addr) = spawn_schema_server("garbage");
+    let answer = send_and_read_to_close(
+        addr,
+        b"POST / HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n{\"type\":\"ping\"}".to_vec(),
+    );
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(answer.contains("\"code\":\"malformed_frame\""), "{answer}");
+    // The body was never read as the next request line.
+    assert!(!answer.contains("pong"), "{answer}");
+    assert_alive_then_shut_down(server, addr);
+}
+
+#[test]
+fn over_long_jsonl_line_is_refused_and_the_server_lives() {
+    let (server, addr) = spawn_schema_server("longline");
+    let mut line = b"{\"type\":\"ping\",\"pad\":\"".to_vec();
+    line.resize(line.len() + sws_designer::serve::MAX_FRAME_BYTES, b'x');
+    line.extend_from_slice(b"\"}\n");
+    let answer = send_and_read_to_close(addr, line);
+    assert!(
+        answer.starts_with("{\"type\":\"error\",\"code\":\"frame_too_large\""),
+        "{answer}"
+    );
+    assert_eq!(answer.lines().count(), 1, "{answer}");
+    assert_alive_then_shut_down(server, addr);
 }

@@ -11,9 +11,8 @@
 //! * [`ClosureIndex`] is a compact CSR (compressed sparse row) snapshot of
 //!   the supertype / subtype / part-of / instance-of edges. It is a plain
 //!   bundle of `Vec`s — `Send + Sync` — so `parallel.rs` workers can share
-//!   one snapshot by reference instead of each rebuilding a cold
-//!   `QueryCache`. It is generation-stamped; a stale index must not be used
-//!   against a mutated graph.
+//!   one snapshot by reference. It is generation-stamped; a stale index must
+//!   not be used against a mutated graph.
 //! * [`ClosureScratch`] holds epoch-stamped visited marks and reusable
 //!   queue/stack storage. After warm-up (`ensure_slots`), every traversal is
 //!   allocation-free; outputs go into caller-provided buffers.

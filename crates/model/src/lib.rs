@@ -16,13 +16,11 @@
 //!   graphs,
 //! * [`query`] — generalization/aggregation/instance-of hierarchy queries
 //!   (ancestors, descendants, roots, paths, components),
-//! * [`cache`] — generation-stamped memoization of the hot queries,
 //! * [`wf`] — graph-level well-formedness checking,
 //! * [`diff`] — structural diff between two graphs,
 //! * [`error`] — mutation error type.
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod diff;
 pub mod error;
 pub mod graph;
@@ -31,10 +29,8 @@ pub mod index;
 pub mod intern;
 pub mod lower;
 pub mod query;
-pub mod view;
 pub mod wf;
 
-pub use cache::QueryCache;
 pub use diff::{diff_graphs, MemberChange, SchemaDiff, TypeDiff};
 pub use error::ModelError;
 pub use graph::LinkSide;
@@ -46,5 +42,4 @@ pub use ids::{AttrId, LinkId, OpId, RelId, TypeId};
 pub use index::{Adjacency, ClosureIndex, ClosureScratch};
 pub use intern::{SymKey, Symbol};
 pub use lower::{graph_to_schema, schema_to_graph, LowerError};
-pub use view::{CachedView, SchemaView};
 pub use wf::{check_type_into, check_type_well_formed, check_well_formed, WfIssue, WfScratch};

@@ -6,15 +6,13 @@
 //!   escape hatch agrees too.
 //! * After the script, `reset()` replays the undo log back to a graph
 //!   structurally identical to the shrink wrap schema.
-//! * A `QueryCache` interleaved with arbitrary mutations always answers
-//!   exactly like the uncached `query` traversals.
 
 #![cfg(feature = "proptest")]
 
 use proptest::prelude::*;
 use shrink_wrap_schemas::core::{check_consistency, ConceptKind, ModOp, Workspace};
 use shrink_wrap_schemas::corpus::university;
-use shrink_wrap_schemas::model::{diff_graphs, query, QueryCache};
+use shrink_wrap_schemas::model::diff_graphs;
 use shrink_wrap_schemas::odl::DomainType;
 
 /// Names likely to exist in the university schema plus some that don't.
@@ -119,29 +117,5 @@ proptest! {
             ws.consistency(),
             check_consistency(ws.working(), ws.shrink_wrap())
         );
-    }
-
-    #[test]
-    fn cached_queries_equal_uncached_under_mutation(
-        script in prop::collection::vec((contexts(), random_op()), 1..15)
-    ) {
-        let mut ws = Workspace::new(university::graph());
-        let qc = QueryCache::new();
-        for (context, op) in script {
-            let _ = ws.apply(context, op);
-            let g = ws.working();
-            for (t, _) in g.types() {
-                prop_assert_eq!(&*qc.ancestors(g, t), &query::ancestors(g, t));
-                prop_assert_eq!(&*qc.descendants(g, t), &query::descendants(g, t));
-                prop_assert_eq!(&*qc.visible_members(g, t), &query::visible_members(g, t));
-                // Second lookup exercises the hit path; same answer.
-                prop_assert_eq!(&*qc.ancestors(g, t), &query::ancestors(g, t));
-            }
-            prop_assert_eq!(
-                &*qc.generalization_components(g),
-                &query::generalization_components(g)
-            );
-        }
-        prop_assert!(qc.hits() > 0);
     }
 }
